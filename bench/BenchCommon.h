@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The harness behind every table/figure reproduction binary: runs a
-/// workload under a chosen executor configuration (via the vm/ session
-/// facade) and returns the measured counters. Absolute numbers come from
-/// the simulated host (host instructions = wall cycles); see
+/// The harness shared by the bench binaries and the scenario/serve/fuzz
+/// tools: the bench scale, wall budgets, and BENCH_*.json emission
+/// (report fields come from vm/ReportFields.h). Absolute numbers come
+/// from the simulated host (host instructions = wall cycles); see
 /// EXPERIMENTS.md for the paper-vs-measured comparison.
 ///
 /// RDBT_BENCH_SCALE (env) scales workload iteration counts (default 4).
@@ -22,6 +22,7 @@
 #define RDBT_BENCH_BENCHCOMMON_H
 
 #include "guestsw/Workloads.h"
+#include "vm/ReportFields.h"
 #include "vm/Vm.h"
 
 #include <cmath>
@@ -35,184 +36,42 @@
 namespace rdbt {
 namespace bench {
 
-/// Executor configurations (the translator-kind axis of the scenario
-/// matrix; each maps to a TranslatorRegistry kind).
-enum class Config {
-  Native, ///< reference interpreter at 1 cycle/instr (Fig. 18 baseline)
-  Qemu,   ///< the QEMU-6.1-like baseline translator
-  RuleBase,
-  RuleReduction,
-  RuleElimination,
-  RuleFull,
-};
-
-/// The registry kind name behind a configuration.
-inline const char *configKind(Config C) {
-  switch (C) {
-  case Config::Native: return "native";
-  case Config::Qemu: return "qemu";
-  case Config::RuleBase: return "rule:base";
-  case Config::RuleReduction: return "rule:reduction";
-  case Config::RuleElimination: return "rule:elimination";
-  case Config::RuleFull: return "rule:scheduling";
-  }
-  return "?";
-}
-
-/// Human-facing table label (the registry's Label for the kind).
-inline const char *configName(Config C) {
-  const vm::TranslatorRegistry::KindInfo *K =
-      vm::TranslatorRegistry::global().find(configKind(C));
-  return K ? K->Label.c_str() : "?";
-}
-
-/// Identifier-safe key for a configuration, used for JSON metric series
-/// names so every binary reports the same quantity under the same key
-/// (configName() stays the human-facing table label).
-inline const char *configKey(Config C) {
-  const vm::TranslatorRegistry::KindInfo *K =
-      vm::TranslatorRegistry::global().find(configKind(C));
-  return K ? K->MetricKey.c_str() : "unknown";
-}
-
-struct RunStats {
-  uint64_t Wall = 0;        ///< emulation cost in host cycles
-  uint64_t GuestInstrs = 0; ///< guest instructions retired
-  uint64_t MemInstrs = 0;
-  uint64_t SysInstrs = 0;
-  uint64_t IrqChecks = 0;
-  uint64_t SyncInstrs = 0; ///< CostClass::Sync host instructions
-  uint64_t SyncOps = 0;
-  uint64_t HostInstrs = 0; ///< all executed host instructions + helper cost
-  // Translation-cache behavior (zero for the native executor).
-  uint64_t CacheFlushes = 0;
-  uint64_t TbsInvalidated = 0;
-  uint64_t TbsRetained = 0;
-  uint64_t LiveTbs = 0;
-  uint64_t Retranslations = 0;
-  uint64_t RetranslatedGuestInstrs = 0;
-  // Rule-translator coverage and pattern matcher statistics (zero for
-  // non-rule kinds).
-  uint64_t RuleCoveredInstrs = 0;
-  uint64_t FallbackInstrs = 0;
-  uint64_t RuleMatchAttempts = 0;
-  uint64_t RuleMatchHits = 0;
-  // Translation-gap profile (zero unless a GapMiner was attached).
-  uint64_t GapSeqs = 0;
-  uint64_t GapTranslations = 0;
-  uint64_t GapExecs = 0;
-  // Translation work actually performed, and persistent-cache provenance
-  // (dbt/CodeCacheIo.h). A warm boot against a complete cache file shows
-  // Translations == 0 with LoadedTbs covering every block; a run without
-  // a cache dir — or a cold run against an absent file — shows all three
-  // provenance counters at zero.
-  uint64_t Translations = 0;
-  uint64_t TranslatedGuestInstrs = 0;
-  uint64_t CacheFileHits = 0;
-  uint64_t CacheFileMisses = 0;
-  uint64_t LoadedTbs = 0;
-  // Interpreter decoded-instruction cache behavior (DESIGN.md §14).
-  // Deterministic for a deterministic run, but configuration-dependent by
-  // design (",ifp=off" forces every decode to a miss), so A/B gates that
-  // compare across ifp settings waive them with --allow-prefix interp_.
-  uint64_t InterpDecodeHits = 0;
-  uint64_t InterpDecodeMisses = 0;
-  // Host wall-clock timing, split at the serving boundary (see
-  // vm::RunReport::Timing). Nondeterministic, so excluded from the
-  // perf-gated matrix JSON; writeTimingFields emits it only when asked
-  // (rdbt_serve's BENCH_serve.json does).
-  vm::RunReport::Timing Time;
-  // Observability results (vm::RunReport::ObsStats), present only when
-  // the run was traced. Emitted as the obs_* field family — waived by
-  // prefix in the perf gate, so they never trip the exact-count diff.
-  vm::RunReport::ObsStats Obs;
-  bool Ok = false;
-
-  double hostPerGuest() const {
-    return GuestInstrs ? static_cast<double>(Wall) / GuestInstrs : 0;
-  }
-  double syncPerGuest() const {
-    return GuestInstrs ? static_cast<double>(SyncInstrs) / GuestInstrs : 0;
-  }
-};
-
+/// RDBT_BENCH_SCALE, default 4. Anything but a positive decimal integer
+/// is an error (exit 2): a typo must not silently measure scale 4.
 inline uint32_t benchScale() {
-  if (const char *S = std::getenv("RDBT_BENCH_SCALE"))
-    return static_cast<uint32_t>(std::atoi(S) > 0 ? std::atoi(S) : 4);
-  return 4;
+  const char *S = std::getenv("RDBT_BENCH_SCALE");
+  if (!S)
+    return 4;
+  char *End = nullptr;
+  const long V = std::strtol(S, &End, 10);
+  if (End == S || *End != '\0' || V <= 0 || V > 1000000) {
+    std::fprintf(stderr, "RDBT_BENCH_SCALE='%s' is not a positive integer\n",
+                 S);
+    std::exit(2);
+  }
+  return static_cast<uint32_t>(V);
 }
 
-/// The wall budgets every figure always ran under: the native baseline
-/// is an instruction budget (1 cycle/instr), the engine paths a
-/// host-cycle budget.
-inline uint64_t benchWallBudget(Config C) {
-  return C == Config::Native ? 2000ull * 1000 * 1000
-                             : 400ull * 1000 * 1000 * 1000;
-}
-
-inline RunStats fromReport(const vm::RunReport &R, bool EngineRun = true) {
-  RunStats S;
-  S.Ok = R.Ok;
-  S.Wall = R.wall();
-  S.GuestInstrs = R.guestInstrs();
-  S.MemInstrs = R.memInstrs();
-  S.SysInstrs = R.sysInstrs();
-  S.IrqChecks = R.irqChecks();
-  S.SyncInstrs = R.syncInstrs();
-  S.SyncOps = R.syncOps();
-  // The native baseline reports no host-side cost (1 guest instruction =
-  // 1 native cycle, already in Wall).
-  S.HostInstrs = EngineRun ? R.wall() : 0;
-  S.CacheFlushes = R.Cache.Flushes;
-  S.TbsInvalidated = R.Cache.TbsInvalidated;
-  S.TbsRetained = R.Cache.TbsRetained;
-  S.LiveTbs = R.Cache.LiveTbs;
-  S.Retranslations = R.Cache.Retranslations;
-  S.RetranslatedGuestInstrs = R.Cache.RetranslatedGuestInstrs;
-  S.RuleCoveredInstrs = R.RuleCoveredInstrs;
-  S.FallbackInstrs = R.FallbackInstrs;
-  S.RuleMatchAttempts = R.RuleMatchAttempts;
-  S.RuleMatchHits = R.RuleMatchHits;
-  S.GapSeqs = R.Profile.GapSeqs;
-  S.GapTranslations = R.Profile.GapTranslations;
-  S.GapExecs = R.Profile.GapExecs;
-  S.Translations = R.Engine.Translations;
-  S.TranslatedGuestInstrs = R.Engine.TranslatedGuestInstrs;
-  S.CacheFileHits = R.Cache.CacheFileHits;
-  S.CacheFileMisses = R.Cache.CacheFileMisses;
-  S.LoadedTbs = R.Cache.LoadedTbs;
-  S.InterpDecodeHits = R.InterpDecodeHits;
-  S.InterpDecodeMisses = R.InterpDecodeMisses;
-  S.Time = R.Time;
-  S.Obs = R.Obs;
-  return S;
-}
-
-inline RunStats runWorkloadImpl(const std::string &Name, Config C,
-                                uint32_t Scale) {
-  vm::Vm V(vm::VmConfig()
-               .workload(Name)
-               .scale(Scale)
-               .translator(configKind(C))
-               .wallBudget(benchWallBudget(C)));
-  if (!V.valid())
-    return RunStats();
-  return fromReport(V.run(), C != Config::Native);
+/// The wall budgets the bench binaries run under: the native kind's is
+/// an instruction budget (1 cycle/instr), the engine kinds' a host-cycle
+/// budget.
+inline uint64_t benchWallBudget(const std::string &Kind) {
+  return Kind == "native" ? 2000ull * 1000 * 1000
+                          : 400ull * 1000 * 1000 * 1000;
 }
 
 //===----------------------------------------------------------------------===//
-// Optional BENCH_*.json emission (see RDBT_BENCH_JSON above). Every
-// runWorkload() call is captured with its raw counters; binaries add their
-// derived figure series with recordMetric(). writeBenchJson() at the end of
-// main() dumps both, so downstream tooling can recompute any figure from the
-// raw runs.
+// Optional BENCH_*.json emission (see RDBT_BENCH_JSON above). Binaries
+// record their runs' reports and their derived series with recordMetric();
+// writeBenchJson() at the end of main() dumps both, so downstream tooling
+// can recompute any figure from the raw runs.
 //===----------------------------------------------------------------------===//
 
 struct JsonRecorder {
   struct Run {
     std::string Workload;
     std::string Config;
-    RunStats S;
+    vm::RunReport R;
   };
   struct Metric {
     std::string Series;
@@ -228,37 +87,11 @@ struct JsonRecorder {
   }
 };
 
-inline RunStats runWorkload(const std::string &Name, Config C,
-                            uint32_t Scale) {
-  const RunStats S = runWorkloadImpl(Name, C, Scale);
-  JsonRecorder::get().Runs.push_back({Name, configName(C), S});
-  return S;
-}
-
 /// Records one point of a derived series (e.g. series "speedup_fullopt",
 /// point "perlbench", value 1.36) for BENCH_*.json emission.
 inline void recordMetric(const std::string &Series, const std::string &Point,
                          double Value) {
   JsonRecorder::get().Metrics.push_back({Series, Point, Value});
-}
-
-inline std::string jsonEscape(const std::string &In) {
-  std::string Out;
-  for (const char C : In) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-  return Out;
-}
-
-/// The one emitter of the wall-clock timing split: stable boot_ns/run_ns
-/// keys wherever timing appears in a JSON document. Callers decide
-/// *whether* timing belongs in their document (perf-gated documents must
-/// not include it); this decides how it is spelled.
-template <typename Stream>
-inline void writeTimingFields(Stream &OS, const vm::RunReport::Timing &T) {
-  OS << "\"boot_ns\": " << T.BootNs << ", \"run_ns\": " << T.RunNs;
 }
 
 /// Emits one obs histogram as a nested JSON object (counts only —
@@ -280,143 +113,66 @@ inline void writeHistogramJson(Stream &OS, const obs::Histogram &H) {
   OS << "]}";
 }
 
-/// Emits the canonical RunStats counter fields (the key set every
-/// BENCH_*.json run record and BENCH_matrix.json cell shares) — integer
-/// counters only, in a fixed order, so two emissions of equal stats are
-/// byte-identical. A traced run additionally carries the obs_* field
-/// family (flat scalars, so the perf gate's parser sees them and its
-/// --allow-prefix obs_ waiver can skip them); an untraced run emits no
-/// obs_* field at all, keeping its document byte-identical to pre-obs
-/// output. \p WithTiming additionally appends the wall-clock
-/// boot_ns/run_ns split; it defaults off because timing is
-/// nondeterministic and must never enter a perf-gated or
-/// byte-compared document (BENCH_matrix.json stays timing-free).
-template <typename Stream>
-inline void writeRunStatsFields(Stream &OS, const RunStats &S,
-                                bool WithTiming = false) {
-  OS << "\"ok\": " << (S.Ok ? "true" : "false") << ", \"wall\": " << S.Wall
-     << ", \"guest_instrs\": " << S.GuestInstrs
-     << ", \"mem_instrs\": " << S.MemInstrs
-     << ", \"sys_instrs\": " << S.SysInstrs
-     << ", \"irq_checks\": " << S.IrqChecks
-     << ", \"sync_instrs\": " << S.SyncInstrs
-     << ", \"sync_ops\": " << S.SyncOps
-     << ", \"host_instrs\": " << S.HostInstrs
-     << ", \"cache_flushes\": " << S.CacheFlushes
-     << ", \"tbs_invalidated\": " << S.TbsInvalidated
-     << ", \"tbs_retained\": " << S.TbsRetained
-     << ", \"live_tbs\": " << S.LiveTbs
-     << ", \"retranslations\": " << S.Retranslations
-     << ", \"retranslated_guest_instrs\": " << S.RetranslatedGuestInstrs
-     << ", \"rule_covered_instrs\": " << S.RuleCoveredInstrs
-     << ", \"fallback_instrs\": " << S.FallbackInstrs
-     << ", \"rule_match_attempts\": " << S.RuleMatchAttempts
-     << ", \"rule_match_hits\": " << S.RuleMatchHits
-     << ", \"gap_seqs\": " << S.GapSeqs
-     << ", \"gap_translations\": " << S.GapTranslations
-     << ", \"gap_execs\": " << S.GapExecs
-     << ", \"translations\": " << S.Translations
-     << ", \"translated_guest_instrs\": " << S.TranslatedGuestInstrs
-     << ", \"cache_file_hits\": " << S.CacheFileHits
-     << ", \"cache_file_misses\": " << S.CacheFileMisses
-     << ", \"loaded_tbs\": " << S.LoadedTbs
-     << ", \"interp_decode_hits\": " << S.InterpDecodeHits
-     << ", \"interp_decode_misses\": " << S.InterpDecodeMisses;
-  if (S.Obs.Enabled) {
-    OS << ", \"obs_events\": " << S.Obs.Events
-       << ", \"obs_dropped_events\": " << S.Obs.Dropped;
-    for (const auto &C : S.Obs.Metrics.counters())
-      OS << ", \"obs_" << jsonEscape(C.first) << "\": " << C.second;
-    for (const auto &H : S.Obs.Metrics.histograms()) {
-      const std::string N = jsonEscape(H.first);
-      OS << ", \"obs_" << N << "_count\": " << H.second.Count << ", \"obs_"
-         << N << "_sum\": " << H.second.Sum << ", \"obs_" << N
-         << "_max\": " << H.second.Max;
-    }
-  }
-  if (WithTiming) {
-    OS << ", ";
-    writeTimingFields(OS, S.Time);
-  }
-}
-
-/// One cell of a scenario matrix: a stable "<kind>/<workload>@<scale>"
-/// key and the measured counters.
-struct MatrixCell {
-  std::string Key;
-  RunStats S;
-};
-
 /// Serializes a scenario matrix to the BENCH_matrix.json document the
-/// perf-regression gate (tools/rdbt_perfgate) diffs: cells in submission
-/// order under "matrix", integer counters only. Byte-identical for equal
-/// inputs, so a parallel matrix run reproduces the serial document
-/// exactly (vm/BatchRunner.h).
-inline std::string formatMatrixJson(const std::vector<MatrixCell> &Cells,
+/// perf-regression gate (tools/rdbt_perfgate) diffs: cell Keys[I] holds
+/// Reports[I]'s JSON fields (vm/ReportFields.h), in submission order.
+/// Byte-identical for equal inputs, so a parallel matrix run reproduces
+/// the serial document exactly (vm/BatchRunner.h).
+inline std::string formatMatrixJson(const std::vector<std::string> &Keys,
+                                    const std::vector<vm::RunReport> &Reports,
                                     uint32_t Scale) {
   std::ostringstream OS;
   OS << "{\n  \"bench\": \"matrix\",\n  \"scale\": " << Scale
      << ",\n  \"matrix\": {";
-  for (size_t I = 0; I < Cells.size(); ++I) {
-    OS << (I ? ",\n" : "\n") << "    \"" << jsonEscape(Cells[I].Key)
-       << "\": {";
-    writeRunStatsFields(OS, Cells[I].S);
-    OS << "}";
-  }
+  for (size_t I = 0; I < Reports.size(); ++I)
+    OS << (I ? ",\n" : "\n") << "    \"" << vm::jsonEscape(Keys[I])
+       << "\": {" << vm::reportJsonFields(Reports[I]) << "}";
   OS << "\n  }\n}\n";
   return OS.str();
+}
+
+/// Writes \p Doc to \p Name in the RDBT_BENCH_JSON directory (unset,
+/// empty or "1" = the current one); false when the file cannot be
+/// written.
+inline bool writeBenchFile(const std::string &Name, const std::string &Doc) {
+  const char *Env = std::getenv("RDBT_BENCH_JSON");
+  const std::string Dir =
+      (!Env || *Env == '\0' || std::string(Env) == "1") ? "." : Env;
+  const std::string Path = Dir + "/" + Name;
+  std::ofstream OS(Path);
+  if (!(OS << Doc)) {
+    std::fprintf(stderr, "cannot write %s\n", Path.c_str());
+    return false;
+  }
+  std::printf("\nwrote %s\n", Path.c_str());
+  return true;
 }
 
 /// Writes BENCH_<BenchName>.json when RDBT_BENCH_JSON is set; no-op
 /// otherwise. Call once at the end of each bench binary's main().
 inline void writeBenchJson(const char *BenchName) {
-  const char *Env = std::getenv("RDBT_BENCH_JSON");
-  if (!Env)
+  if (!std::getenv("RDBT_BENCH_JSON"))
     return;
-  const std::string Dir =
-      (*Env == '\0' || std::string(Env) == "1") ? "." : Env;
-  const std::string Path = Dir + "/BENCH_" + BenchName + ".json";
-  std::ofstream OS(Path);
-  if (!OS) {
-    std::fprintf(stderr, "RDBT_BENCH_JSON: cannot write %s\n", Path.c_str());
-    return;
-  }
+  std::ostringstream OS;
   const JsonRecorder &R = JsonRecorder::get();
-  OS << "{\n  \"bench\": \"" << jsonEscape(BenchName) << "\",\n"
+  OS << "{\n  \"bench\": \"" << vm::jsonEscape(BenchName) << "\",\n"
      << "  \"scale\": " << benchScale() << ",\n  \"runs\": [";
   for (size_t I = 0; I < R.Runs.size(); ++I) {
     const JsonRecorder::Run &Run = R.Runs[I];
     OS << (I ? ",\n" : "\n") << "    {\"workload\": \""
-       << jsonEscape(Run.Workload) << "\", \"config\": \""
-       << jsonEscape(Run.Config) << "\", ";
-    writeRunStatsFields(OS, Run.S);
-    OS << "}";
+       << vm::jsonEscape(Run.Workload) << "\", \"config\": \""
+       << vm::jsonEscape(Run.Config) << "\", " << vm::reportJsonFields(Run.R)
+       << "}";
   }
   OS << "\n  ],\n  \"metrics\": [";
   for (size_t I = 0; I < R.Metrics.size(); ++I) {
     const JsonRecorder::Metric &M = R.Metrics[I];
-    OS << (I ? ",\n" : "\n") << "    {\"series\": \"" << jsonEscape(M.Series)
-       << "\", \"point\": \"" << jsonEscape(M.Point)
-       << "\", \"value\": " << M.Value << "}";
+    OS << (I ? ",\n" : "\n") << "    {\"series\": \""
+       << vm::jsonEscape(M.Series) << "\", \"point\": \""
+       << vm::jsonEscape(M.Point) << "\", \"value\": " << M.Value << "}";
   }
   OS << "\n  ]\n}\n";
-  std::printf("\nwrote %s\n", Path.c_str());
-}
-
-inline std::vector<std::string> specNames() {
-  std::vector<std::string> Names;
-  for (const auto &W : guestsw::workloads())
-    if (W.IsSpecProxy)
-      Names.push_back(W.Name);
-  return Names;
-}
-
-inline std::vector<std::string> realWorldNames() {
-  std::vector<std::string> Names;
-  for (const auto &W : guestsw::workloads())
-    if (W.IsRealWorld)
-      Names.push_back(W.Name);
-  return Names;
+  writeBenchFile(std::string("BENCH_") + BenchName + ".json", OS.str());
 }
 
 inline double geomean(const std::vector<double> &Values) {

@@ -21,32 +21,20 @@ using namespace rdbt::bench;
 
 namespace {
 
-struct PolicyRun {
-  RunStats S;
-  uint64_t Translations = 0;
-  uint64_t CacheEntries = 0;
-};
-
-PolicyRun runPolicy(Config C, uint32_t Scale, bool Blanket) {
+vm::RunReport runPolicy(const char *Kind, uint32_t Scale, bool Blanket) {
   vm::Vm V(vm::VmConfig()
                .workload("ctxswitch")
                .scale(Scale)
-               .translator(configKind(C))
-               .wallBudget(benchWallBudget(C))
+               .translator(Kind)
+               .wallBudget(benchWallBudget(Kind))
                .blanketCacheInvalidation(Blanket));
-  PolicyRun R;
   if (!V.valid())
-    return R;
-  const vm::RunReport Rep = V.run();
-  R.S = fromReport(Rep);
-  R.Translations = Rep.Engine.Translations;
-  R.CacheEntries = Rep.Engine.CacheEntries;
+    return vm::RunReport();
+  const vm::RunReport R = V.run();
   // Record under a policy-suffixed config name so both runs land in the
   // bench JSON side by side.
   JsonRecorder::get().Runs.push_back(
-      {std::string("ctxswitch"),
-       std::string(configName(C)) + (Blanket ? " (blanket)" : " (selective)"),
-       R.S});
+      {"ctxswitch", R.Label + (Blanket ? " (blanket)" : " (selective)"), R});
   return R;
 }
 
@@ -61,43 +49,43 @@ int main() {
               "policy", "xlations", "retrans gi", "flushes", "tbs inval",
               "tbs live", "wall", "host/guest");
 
-  const Config Configs[] = {Config::Qemu, Config::RuleFull};
-  for (const Config C : Configs) {
-    const PolicyRun Blanket = runPolicy(C, Scale, /*Blanket=*/true);
-    const PolicyRun Selective = runPolicy(C, Scale, /*Blanket=*/false);
+  for (const char *Kind : {"qemu", "rule:scheduling"}) {
+    const vm::RunReport Blanket = runPolicy(Kind, Scale, /*Blanket=*/true);
+    const vm::RunReport Selective = runPolicy(Kind, Scale, /*Blanket=*/false);
+    const char *Key = Selective.MetricKey.c_str();
     for (const auto &[Label, R] :
-         {std::pair<const char *, const PolicyRun &>{"blanket", Blanket},
+         {std::pair<const char *, const vm::RunReport &>{"blanket", Blanket},
           {"selective", Selective}}) {
       std::printf("%-22s %-10s %10llu %12llu %8llu %10llu %10llu %12llu "
                   "%10.2f\n",
-                  configName(C), Label,
-                  static_cast<unsigned long long>(R.Translations),
+                  R.Label.c_str(), Label,
+                  static_cast<unsigned long long>(R.Engine.Translations),
                   static_cast<unsigned long long>(
-                      R.S.RetranslatedGuestInstrs),
-                  static_cast<unsigned long long>(R.S.CacheFlushes),
-                  static_cast<unsigned long long>(R.S.TbsInvalidated),
-                  static_cast<unsigned long long>(R.S.LiveTbs),
-                  static_cast<unsigned long long>(R.S.Wall),
-                  R.S.hostPerGuest());
+                      R.Cache.RetranslatedGuestInstrs),
+                  static_cast<unsigned long long>(R.Cache.Flushes),
+                  static_cast<unsigned long long>(R.Cache.TbsInvalidated),
+                  static_cast<unsigned long long>(R.Cache.LiveTbs),
+                  static_cast<unsigned long long>(R.wall()),
+                  R.hostPerGuest());
     }
     const double Reduction =
-        Selective.S.RetranslatedGuestInstrs
-            ? static_cast<double>(Blanket.S.RetranslatedGuestInstrs) /
-                  static_cast<double>(Selective.S.RetranslatedGuestInstrs)
-            : static_cast<double>(Blanket.S.RetranslatedGuestInstrs);
+        Selective.Cache.RetranslatedGuestInstrs
+            ? static_cast<double>(Blanket.Cache.RetranslatedGuestInstrs) /
+                  static_cast<double>(Selective.Cache.RetranslatedGuestInstrs)
+            : static_cast<double>(Blanket.Cache.RetranslatedGuestInstrs);
     const double Speedup =
-        Selective.S.Wall ? static_cast<double>(Blanket.S.Wall) /
-                               static_cast<double>(Selective.S.Wall)
+        Selective.wall() ? static_cast<double>(Blanket.wall()) /
+                               static_cast<double>(Selective.wall())
                          : 0.0;
     std::printf("  -> retranslated guest instrs reduced %.1fx, wall %.2fx "
                 "faster\n\n",
                 Reduction, Speedup);
-    recordMetric("retranslation_reduction", configKey(C), Reduction);
-    recordMetric("ctxswitch_speedup", configKey(C), Speedup);
-    recordMetric("retranslated_gi_blanket", configKey(C),
-                 static_cast<double>(Blanket.S.RetranslatedGuestInstrs));
-    recordMetric("retranslated_gi_selective", configKey(C),
-                 static_cast<double>(Selective.S.RetranslatedGuestInstrs));
+    recordMetric("retranslation_reduction", Key, Reduction);
+    recordMetric("ctxswitch_speedup", Key, Speedup);
+    recordMetric("retranslated_gi_blanket", Key,
+                 static_cast<double>(Blanket.Cache.RetranslatedGuestInstrs));
+    recordMetric("retranslated_gi_selective", Key,
+                 static_cast<double>(Selective.Cache.RetranslatedGuestInstrs));
   }
 
   writeBenchJson("ctxswitch_cache");

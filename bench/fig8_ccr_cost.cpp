@@ -68,6 +68,7 @@ unsigned costOfFirstSave(const host::HostBlock &B, std::string &Listing) {
 } // namespace
 
 int main() {
+  bench::benchScale(); // validates RDBT_BENCH_SCALE before any work
   std::printf("Fig. 8: effect of coordination overhead reduction (III-B)\n\n");
   std::string ParseListing, PackedListing;
   const unsigned ParseCost =

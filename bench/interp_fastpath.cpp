@@ -24,33 +24,22 @@ using namespace rdbt::bench;
 
 namespace {
 
-struct AbRun {
-  RunStats S;
-  uint64_t HostNs = 0;
-};
-
-AbRun runOnce(const char *Kind, const char *Workload, uint32_t Scale,
-              bool Fastpath, bool EngineRun, uint64_t Budget) {
-  AbRun R;
+vm::RunReport runOnce(const char *Kind, const char *Workload, uint32_t Scale,
+                      bool Fastpath, uint64_t Budget) {
   vm::Vm V(vm::VmConfig()
                .workload(Workload)
                .scale(Scale)
                .translator(Kind)
                .wallBudget(Budget)
                .interpFastpath(Fastpath));
-  if (!V.valid())
-    return R;
-  const vm::RunReport Rep = V.run();
-  R.S = fromReport(Rep, EngineRun);
-  R.HostNs = Rep.Time.totalNs();
-  return R;
+  return V.valid() ? V.run() : vm::RunReport();
 }
 
 void record(const char *Kind, const char *Workload, bool Fastpath,
-            const RunStats &S) {
+            const vm::RunReport &R) {
   JsonRecorder::get().Runs.push_back(
       {std::string(Workload),
-       std::string(Kind) + (Fastpath ? " (ifp=on)" : " (ifp=off)"), S});
+       std::string(Kind) + (Fastpath ? " (ifp=on)" : " (ifp=off)"), R});
 }
 
 } // namespace
@@ -66,7 +55,6 @@ int main() {
   struct Scenario {
     const char *Kind;
     const char *Workload;
-    bool EngineRun;
   };
   // The native kind decodes every retired instruction — the wall-time
   // win shows there. The engine kinds decode only on the emulate-helper
@@ -74,56 +62,54 @@ int main() {
   // re-executed every ctxswitch timeslice), a small share of their host
   // time: the cache's effect shows as the hit rate, not the wall clock.
   const Scenario Scenarios[] = {
-      {"native", "libquantum", false},
-      {"qemu", "ctxswitch", true},
-      {"rule:scheduling", "ctxswitch", true},
+      {"native", "libquantum"},
+      {"qemu", "ctxswitch"},
+      {"rule:scheduling", "ctxswitch"},
   };
   const int Reps = 3;
 
   bool CountersIdentical = true;
   for (const Scenario &Sc : Scenarios) {
-    const uint64_t Budget =
-        benchWallBudget(Sc.EngineRun ? Config::Qemu : Config::Native);
+    const uint64_t Budget = benchWallBudget(Sc.Kind);
     // Interleave the on/off repetitions and keep the fastest of each —
     // paired mins see the same machine conditions, so scheduler noise and
     // frequency drift cancel instead of biasing one side. The simulated
     // counters are deterministic across reps; host time is the only thing
     // the repetitions exist for.
-    AbRun On, Off;
+    vm::RunReport On, Off;
     for (int Rep = 0; Rep < Reps; ++Rep) {
-      const AbRun A =
-          runOnce(Sc.Kind, Sc.Workload, Scale, true, Sc.EngineRun, Budget);
-      const AbRun B =
-          runOnce(Sc.Kind, Sc.Workload, Scale, false, Sc.EngineRun, Budget);
-      if (Rep == 0 || A.HostNs < On.HostNs)
+      const vm::RunReport A =
+          runOnce(Sc.Kind, Sc.Workload, Scale, true, Budget);
+      const vm::RunReport B =
+          runOnce(Sc.Kind, Sc.Workload, Scale, false, Budget);
+      if (Rep == 0 || A.Time.totalNs() < On.Time.totalNs())
         On = A;
-      if (Rep == 0 || B.HostNs < Off.HostNs)
+      if (Rep == 0 || B.Time.totalNs() < Off.Time.totalNs())
         Off = B;
     }
-    record(Sc.Kind, Sc.Workload, true, On.S);
-    record(Sc.Kind, Sc.Workload, false, Off.S);
+    record(Sc.Kind, Sc.Workload, true, On);
+    record(Sc.Kind, Sc.Workload, false, Off);
 
-    // The fastpath must be guest-invisible: every simulated counter
-    // agrees on vs off (the perf gate enforces the same across the
-    // matrix with only the interp_ prefix waived).
-    if (On.S.Wall != Off.S.Wall || On.S.GuestInstrs != Off.S.GuestInstrs ||
-        On.S.SyncInstrs != Off.S.SyncInstrs ||
-        On.S.FallbackInstrs != Off.S.FallbackInstrs) {
-      std::printf("!! %s/%s: simulated counters diverged on vs off\n",
-                  Sc.Kind, Sc.Workload);
+    // The fastpath must be guest-invisible: every simulated field agrees
+    // on vs off (the perf gate enforces the same across the matrix with
+    // only the interp_ prefix waived).
+    const std::string Diff = vm::outcomeDiff(On, Off);
+    if (!Diff.empty()) {
+      std::printf("!! %s/%s: diverged on vs off (%s)\n", Sc.Kind,
+                  Sc.Workload, Diff.c_str());
       CountersIdentical = false;
     }
 
-    const uint64_t Consults = On.S.InterpDecodeHits + On.S.InterpDecodeMisses;
+    const uint64_t OnNs = On.Time.totalNs(), OffNs = Off.Time.totalNs();
+    const uint64_t Consults = On.InterpDecodeHits + On.InterpDecodeMisses;
     const double HitRate =
-        Consults ? static_cast<double>(On.S.InterpDecodeHits) / Consults : 0;
-    const double Speedup =
-        On.HostNs ? static_cast<double>(Off.HostNs) / On.HostNs : 0;
+        Consults ? static_cast<double>(On.InterpDecodeHits) / Consults : 0;
+    const double Speedup = OnNs ? static_cast<double>(OffNs) / OnNs : 0;
     std::printf("%-18s %-12s %12llu %12llu %12.2f %8.1f%% %9.2fx\n", Sc.Kind,
                 Sc.Workload,
-                static_cast<unsigned long long>(On.S.InterpDecodeHits),
-                static_cast<unsigned long long>(On.S.InterpDecodeMisses),
-                static_cast<double>(On.HostNs) / 1e6, HitRate * 100, Speedup);
+                static_cast<unsigned long long>(On.InterpDecodeHits),
+                static_cast<unsigned long long>(On.InterpDecodeMisses),
+                static_cast<double>(OnNs) / 1e6, HitRate * 100, Speedup);
 
     const vm::TranslatorRegistry::KindInfo *K =
         vm::TranslatorRegistry::global().find(Sc.Kind);

@@ -47,7 +47,7 @@ CorpusRun runWith(const char *Workload, uint32_t Scale,
                          .workload(Workload)
                          .scale(Scale)
                          .translator("rule:scheduling")
-                         .wallBudget(benchWallBudget(Config::RuleFull))
+                         .wallBudget(benchWallBudget("rule:scheduling"))
                          .rules(&RS);
   if (Miner)
     Cfg.gapMiner(Miner);
@@ -58,8 +58,7 @@ CorpusRun runWith(const char *Workload, uint32_t Scale,
     return Run;
   Run.R = V.run();
   JsonRecorder::get().Runs.push_back(
-      {Workload, std::string("rule (") + CorpusLabel + ")",
-       fromReport(Run.R)});
+      {Workload, std::string("rule (") + CorpusLabel + ")", Run.R});
   return Run;
 }
 

@@ -45,6 +45,11 @@ struct RunReport {
   std::string Label;
   std::string MetricKey;
 
+  /// The kind's TranslatorRegistry::KindInfo::UsesEngine: false for the
+  /// interpreter-executed native kind, whose report carries no host
+  /// instructions (vm/ReportFields.h derives host_instrs from it).
+  bool UsesEngine = false;
+
   /// Guest console output (UART TX bytes).
   std::string Console;
 
@@ -54,8 +59,8 @@ struct RunReport {
   /// slices — RunNs covers the ordinary run() calls. rdbt_serve's
   /// session latency is totalNs(). Cumulative across resumed runs, like
   /// the counters. Nondeterministic by nature, so these never enter the
-  /// perf-gated matrix JSON (bench::writeTimingFields, the one emitter,
-  /// runs only on request).
+  /// perf-gated matrix JSON (vm/ReportFields.h emits them only on
+  /// request).
   struct Timing {
     uint64_t BootNs = 0;
     uint64_t RunNs = 0;
@@ -66,7 +71,7 @@ struct RunReport {
   /// Observability results (src/obs/), populated only when
   /// VmConfig::trace armed the session; Enabled = false otherwise and
   /// every field stays zero. Informational by nature (host wall time
-  /// feeds the histograms), so the bench JSON emits these as the
+  /// feeds the histograms), so the report JSON emits these as the
   /// obs_*-prefixed field family the perf gate waives by prefix.
   struct ObsStats {
     bool Enabled = false;

@@ -317,6 +317,7 @@ RunReport Vm::run(uint64_t WallBudget) {
   if (Kind_) {
     R.Label = Kind_->Label;
     R.MetricKey = Kind_->MetricKey;
+    R.UsesEngine = Kind_->UsesEngine;
   }
   R.Forked = Forked_;
   if (!valid()) {

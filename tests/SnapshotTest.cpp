@@ -29,12 +29,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "vm/BatchRunner.h"
+#include "vm/ReportFields.h"
 #include "vm/Snapshot.h"
 #include "vm/Vm.h"
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,34 +57,6 @@ std::vector<std::string> allKinds() {
 vm::VmConfig cfgFor(const std::string &Kind,
                     const std::string &Workload = "libquantum") {
   return vm::VmConfig().translator(Kind).workload(Workload).scale(1);
-}
-
-/// Bitwise forked-vs-fresh comparison (the serve harness applies the
-/// same rule): everything a run reports except the two fork-provenance
-/// diagnostics AdoptedTbs/CowBlockCopies, which are 0 in fresh runs by
-/// construction, and the nondeterministic RunReport::Time wall timing.
-void expectIdentical(const vm::RunReport &F, const vm::RunReport &R,
-                     const std::string &Label) {
-  EXPECT_EQ(0, std::memcmp(&F.Counters, &R.Counters, sizeof(F.Counters)))
-      << Label << ": exec counters diverged";
-  for (int I = 0; I < 16; ++I)
-    EXPECT_EQ(F.Final.Regs[I], R.Final.Regs[I]) << Label << ": r" << I;
-  EXPECT_EQ(F.Final.Nzcv, R.Final.Nzcv) << Label;
-  EXPECT_EQ(F.Final.ShutdownRequested, R.Final.ShutdownRequested) << Label;
-  EXPECT_EQ(F.Console, R.Console) << Label << ": console diverged";
-  EXPECT_EQ(0, std::memcmp(&F.Engine, &R.Engine, sizeof(F.Engine)))
-      << Label << ": engine stats diverged";
-  dbt::CacheStats A = F.Cache, B = R.Cache;
-  A.AdoptedTbs = B.AdoptedTbs = 0;
-  A.CowBlockCopies = B.CowBlockCopies = 0;
-  EXPECT_EQ(0, std::memcmp(&A, &B, sizeof(A)))
-      << Label << ": cache stats diverged";
-  EXPECT_EQ(F.RuleCoveredInstrs, R.RuleCoveredInstrs) << Label;
-  EXPECT_EQ(F.FallbackInstrs, R.FallbackInstrs) << Label;
-  EXPECT_EQ(F.RuleMatchAttempts, R.RuleMatchAttempts) << Label;
-  EXPECT_EQ(F.RuleMatchHits, R.RuleMatchHits) << Label;
-  EXPECT_EQ(F.Ok, R.Ok) << Label;
-  EXPECT_EQ(static_cast<int>(F.Stop), static_cast<int>(R.Stop)) << Label;
 }
 
 /// FNV-1a over the snapshot's shared RAM image.
@@ -118,7 +90,7 @@ TEST(Snapshot, WarmForkBitwiseIdenticalToFresh) {
     vm::Vm FreshVm(cfgFor(Kind));
     const vm::RunReport Fresh = FreshVm.run();
     ASSERT_TRUE(Fresh.Ok) << Kind;
-    expectIdentical(F, Fresh, Kind);
+    EXPECT_EQ("", vm::outcomeDiff(F, Fresh)) << Kind;
 
     // The warmed cache arrived ready-translated: every captured block
     // was adopted and none re-pays translation (Translations is part of
@@ -151,13 +123,14 @@ TEST(Snapshot, CaptureDoesNotPerturbTheMaster) {
 
   vm::Vm FreshVm(cfgFor("rule:scheduling"));
   const vm::RunReport Fresh = FreshVm.run();
-  expectIdentical(MasterFinal, Fresh, "master-after-capture");
+  EXPECT_EQ("", vm::outcomeDiff(MasterFinal, Fresh))
+      << "master-after-capture";
 
   // And the fork still matches, even though the master ran on past the
   // capture point and patched shared state in the meantime.
   std::unique_ptr<vm::Vm> Fork = vm::Vm::forkFrom(Snap);
   const vm::RunReport F = Fork->run();
-  expectIdentical(F, Fresh, "fork-after-master-ran-on");
+  EXPECT_EQ("", vm::outcomeDiff(F, Fresh)) << "fork-after-master-ran-on";
 }
 
 TEST(Snapshot, PreRunSnapshotIsKindIndependent) {
@@ -176,7 +149,7 @@ TEST(Snapshot, PreRunSnapshotIsKindIndependent) {
 
     vm::Vm FreshVm(cfgFor(Kind, "cpu-prime"));
     const vm::RunReport Fresh = FreshVm.run();
-    expectIdentical(F, Fresh, "pre-run fork " + Kind);
+    EXPECT_EQ("", vm::outcomeDiff(F, Fresh)) << "pre-run fork " << Kind;
   }
 
   // A fork may pick its own invalidation policy off a pre-run snapshot.
@@ -187,7 +160,8 @@ TEST(Snapshot, PreRunSnapshotIsKindIndependent) {
   const vm::RunReport FB = Blanket.run();
   vm::Vm BlanketFresh(
       cfgFor("qemu", "cpu-prime").blanketCacheInvalidation(true));
-  expectIdentical(FB, BlanketFresh.run(), "pre-run blanket fork");
+  EXPECT_EQ("", vm::outcomeDiff(FB, BlanketFresh.run()))
+      << "pre-run blanket fork";
 }
 
 TEST(Snapshot, WarmSnapshotRejectsMismatchedForks) {
@@ -266,10 +240,9 @@ TEST(Snapshot, ConcurrentForksAreIsolatedAndDeterministic) {
   const vm::RunReport Fresh = FreshVm.run();
   ASSERT_TRUE(Fresh.Ok) << Fresh.stopName();
   for (size_t I = 0; I < Parallel.size(); ++I) {
-    expectIdentical(Parallel[I], Fresh,
-                    "parallel fork " + std::to_string(I));
-    expectIdentical(Parallel[I], Serial[I],
-                    "jobs-invariance " + std::to_string(I));
+    EXPECT_EQ("", vm::outcomeDiff(Parallel[I], Fresh)) << "parallel fork " << I;
+    EXPECT_EQ("", vm::outcomeDiff(Parallel[I], Serial[I]))
+        << "jobs-invariance " << I;
   }
   EXPECT_EQ(HashBefore, hashImage(Snap.ramImage()));
 }

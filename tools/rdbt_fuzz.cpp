@@ -77,7 +77,7 @@ uint64_t seedAt(uint64_t Index) { return 0xF0DD + Index * 7919; }
 
 struct KindState {
   std::string Spec;
-  bench::RunStats Sum;  ///< counters summed across seeds
+  vm::RunReport Sum;  ///< counters summed across seeds
   uint64_t Seeds = 0;
   uint64_t Mismatches = 0;
   uint64_t Errors = 0;
@@ -416,14 +416,13 @@ int main(int Argc, char **Argv) {
           continue;
         }
         // Aggregate counters for the BENCH_fuzz.json per-kind row.
-        const bench::RunStats St = bench::fromReport(Rep);
-        KS.Sum.Wall += St.Wall;
-        KS.Sum.GuestInstrs += St.GuestInstrs;
-        KS.Sum.HostInstrs += St.HostInstrs;
-        KS.Sum.RuleCoveredInstrs += St.RuleCoveredInstrs;
-        KS.Sum.FallbackInstrs += St.FallbackInstrs;
-        KS.Sum.RuleMatchAttempts += St.RuleMatchAttempts;
-        KS.Sum.RuleMatchHits += St.RuleMatchHits;
+        KS.Sum.Counters.Wall += Rep.Counters.Wall;
+        KS.Sum.Counters.GuestInstrs += Rep.Counters.GuestInstrs;
+        KS.Sum.RuleCoveredInstrs += Rep.RuleCoveredInstrs;
+        KS.Sum.FallbackInstrs += Rep.FallbackInstrs;
+        KS.Sum.RuleMatchAttempts += Rep.RuleMatchAttempts;
+        KS.Sum.RuleMatchHits += Rep.RuleMatchHits;
+        KS.Sum.UsesEngine = Rep.UsesEngine;
         KS.Sum.Ok = true;
         const fuzz::FinalState Got = fuzz::finalStateOf(Rep);
         if (!fuzz::statesAgree(Ref, Got)) {

@@ -42,10 +42,13 @@
 // and translated_guest_instrs exactly 0), load its cache file cleanly
 // (cache_file_hits == 1 wherever the cold run translated,
 // cache_file_misses == 0 — a miss means a corrupt or stale-keyed file),
-// while loaded_tbs and the translation-time rule-matching statistics
-// (zero when nothing translates) are informational.
+// while every other field of the Translation class (vm/ReportFields.h:
+// loaded_tbs, the rule-matching and gap statistics — zero when nothing
+// translates) is informational.
 //
 //===----------------------------------------------------------------------===//
+
+#include "vm/ReportFields.h"
 
 #include <algorithm>
 #include <cctype>
@@ -247,6 +250,13 @@ int compareMatrices(const MatrixDoc &Base, const MatrixDoc &Cur,
   return Regressions;
 }
 
+/// True for the Translation-class report fields (vm/ReportFields.h):
+/// work a warm boot from the persistent cache skips by design.
+bool isTranslationWork(const std::string &Field) {
+  const rdbt::vm::ReportField *F = rdbt::vm::findReportField(Field);
+  return F && F->Class == rdbt::vm::Translation;
+}
+
 /// Cold-vs-warm comparison (--warm). \p Base is the cold document,
 /// \p Cur the warm rerun against the same cache directory. See the file
 /// header for the per-field rules.
@@ -295,15 +305,9 @@ int compareWarm(const MatrixDoc &Base, const MatrixDoc &Cur,
           Note(B.Key + ".cache_file_misses: warm boot rejected a cache "
                        "file (" + *V + ", must be 0)",
                allowed(Allow, AllowPrefixes, B.Key, F.first));
-      } else if (F.first == "loaded_tbs") {
-        // Informational: how many blocks the file seeded.
-      } else if (F.first == "rule_covered_instrs" ||
-                 F.first == "fallback_instrs" ||
-                 F.first == "rule_match_attempts" ||
-                 F.first == "rule_match_hits") {
-        // Translation-time statistics: a warm boot that translates
-        // nothing does no rule matching, so these drop to zero by
-        // design. The translations gate above already proves it.
+      } else if (isTranslationWork(F.first)) {
+        // Informational: a warm boot skips translation-time work by
+        // design, and the translations gate above already proves it.
       } else if (*V != F.second) {
         Note(B.Key + "." + F.first + ": cold " + F.second + " -> warm " + *V,
              allowed(Allow, AllowPrefixes, B.Key, F.first));
@@ -405,32 +409,38 @@ int selfcheck() {
   Check(compareMatrices(Traced, Base, {}, {"obs_"}, Diffs) == 0,
         "--allow-prefix must waive obs_ fields missing from current");
 
-  // --warm mode: guest counters exact, translation counters gated.
+  // --warm mode: guest counters exact, translation counters gated, the
+  // rest of the Translation class (rule_match_hits here) informational.
   const char *ColdText =
       "{\n  \"scale\": 1,\n  \"matrix\": {\n"
       "    \"qemu/a@1\": {\"ok\": true, \"wall\": 450, \"translations\": 36,"
       " \"translated_guest_instrs\": 200, \"cache_file_hits\": 0,"
-      " \"cache_file_misses\": 0, \"loaded_tbs\": 0}\n  }\n}\n";
+      " \"cache_file_misses\": 0, \"loaded_tbs\": 0,"
+      " \"rule_match_hits\": 5}\n  }\n}\n";
   const char *WarmGoodText =
       "{\n  \"scale\": 1,\n  \"matrix\": {\n"
       "    \"qemu/a@1\": {\"ok\": true, \"wall\": 450, \"translations\": 0,"
       " \"translated_guest_instrs\": 0, \"cache_file_hits\": 1,"
-      " \"cache_file_misses\": 0, \"loaded_tbs\": 36}\n  }\n}\n";
+      " \"cache_file_misses\": 0, \"loaded_tbs\": 36,"
+      " \"rule_match_hits\": 0}\n  }\n}\n";
   const char *WarmStillXlates =
       "{\n  \"scale\": 1,\n  \"matrix\": {\n"
       "    \"qemu/a@1\": {\"ok\": true, \"wall\": 450, \"translations\": 7,"
       " \"translated_guest_instrs\": 40, \"cache_file_hits\": 1,"
-      " \"cache_file_misses\": 0, \"loaded_tbs\": 29}\n  }\n}\n";
+      " \"cache_file_misses\": 0, \"loaded_tbs\": 29,"
+      " \"rule_match_hits\": 0}\n  }\n}\n";
   const char *WarmRejected =
       "{\n  \"scale\": 1,\n  \"matrix\": {\n"
       "    \"qemu/a@1\": {\"ok\": true, \"wall\": 450, \"translations\": 0,"
       " \"translated_guest_instrs\": 0, \"cache_file_hits\": 0,"
-      " \"cache_file_misses\": 1, \"loaded_tbs\": 0}\n  }\n}\n";
+      " \"cache_file_misses\": 1, \"loaded_tbs\": 0,"
+      " \"rule_match_hits\": 0}\n  }\n}\n";
   const char *WarmDiverged =
       "{\n  \"scale\": 1,\n  \"matrix\": {\n"
       "    \"qemu/a@1\": {\"ok\": true, \"wall\": 451, \"translations\": 0,"
       " \"translated_guest_instrs\": 0, \"cache_file_hits\": 1,"
-      " \"cache_file_misses\": 0, \"loaded_tbs\": 36}\n  }\n}\n";
+      " \"cache_file_misses\": 0, \"loaded_tbs\": 36,"
+      " \"rule_match_hits\": 0}\n  }\n}\n";
 
   MatrixDoc Cold, WGood, WXlate, WReject, WDiverge;
   Check(parseMatrix(ColdText, Cold, &Err), "parse cold");

@@ -23,15 +23,17 @@
 //     --json writes the merged BENCH_matrix.json — cells keyed
 //     "<kind>/<workload>@<scale>" in submission order, byte-identical
 //     regardless of N (the perf-gate baseline artifact; see
-//     tools/rdbt_perfgate and bench/README.md).
+//     tools/rdbt_perfgate and bench/README.md). The run ends with the
+//     paper's Figs. 14-19 and Table I computed from its cells, and the
+//     markdown block of their geomeans that EXPERIMENTS.md carries.
 //
 //     --cache-dir D runs the matrix twice against the persistent
 //     translation cache in D (dbt/CodeCacheIo.h): a cold pass that
 //     populates it, then a warm pass that must boot every engine cell
-//     from the saved files alone — identical console and final state,
-//     cache_file_hits == 1, translations == 0. --json additionally
-//     writes the warm pass as BENCH_matrix_warm.json (the
-//     rdbt_perfgate --warm artifact).
+//     from the saved files alone — identical guest-visible outcome
+//     (vm::sameOutcome over the Guest class), cache_file_hits == 1,
+//     translations == 0. --json additionally writes the warm pass as
+//     BENCH_matrix_warm.json (the rdbt_perfgate --warm artifact).
 //
 // --ifp on|off (either mode) selects the interpreter's decoded-
 // instruction cache (DESIGN.md §14; default on). The fastpath is
@@ -57,8 +59,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchCommon.h"
+#include "bench/Figures.h"
 #include "guestsw/Workloads.h"
 #include "vm/BatchRunner.h"
+#include "vm/ReportFields.h"
 #include "vm/Vm.h"
 
 #include <cstdio>
@@ -109,23 +113,6 @@ std::string sanitizeKey(const std::string &Key) {
     if (C == '/' || C == ':' || C == '=')
       C = '_';
   return Out;
-}
-
-/// Writes a matrix document honoring the RDBT_BENCH_JSON directory
-/// convention ("1"/empty = current directory).
-bool writeMatrixFile(const std::string &Doc, const char *Name) {
-  const char *Env = std::getenv("RDBT_BENCH_JSON");
-  const std::string Dir =
-      (!Env || *Env == '\0' || std::string(Env) == "1") ? "." : Env;
-  const std::string Path = Dir + "/" + Name;
-  std::ofstream OS(Path);
-  if (!OS) {
-    std::fprintf(stderr, "cannot write %s\n", Path.c_str());
-    return false;
-  }
-  OS << Doc;
-  std::printf("\nwrote %s\n", Path.c_str());
-  return true;
 }
 
 /// One planned matrix cell: the stable key, the kind string handed to
@@ -220,20 +207,6 @@ std::vector<vm::RunReport> runBatch(const std::vector<Cell> &Cells,
   return Reports;
 }
 
-/// Converts a batch's reports to matrix cells for JSON emission.
-std::vector<bench::MatrixCell>
-toMatrixCells(const std::vector<Cell> &Cells,
-              const std::vector<vm::RunReport> &Reports) {
-  std::vector<bench::MatrixCell> Out;
-  Out.reserve(Reports.size());
-  for (size_t I = 0; I < Reports.size(); ++I) {
-    const auto *Info = vm::TranslatorRegistry::global().find(Cells[I].Kind);
-    Out.push_back({Cells[I].Key,
-                   bench::fromReport(Reports[I], Info && Info->UsesEngine)});
-  }
-  return Out;
-}
-
 int runMatrix(unsigned Jobs, uint32_t Scale, bool Json,
               const std::string &Corpus, const std::string &CacheDir,
               const std::string &TraceDir, bool Ifp) {
@@ -270,22 +243,25 @@ int runMatrix(unsigned Jobs, uint32_t Scale, bool Json,
               guestsw::workloads().size(), Scale, Jobs,
               CacheDir.empty() ? "" : " [cold pass]");
 
+  std::vector<std::string> Keys;
+  for (const Cell &C : Cells)
+    Keys.push_back(C.Key);
+
   int Failures = 0;
   const std::vector<vm::RunReport> Cold = runBatch(
       Cells, Boards, Scale, Jobs, CacheDir, TraceDir, "", Ifp, Failures);
 
   if (Json &&
-      !writeMatrixFile(bench::formatMatrixJson(toMatrixCells(Cells, Cold),
-                                               Scale),
-                       "BENCH_matrix.json"))
+      !bench::writeBenchFile("BENCH_matrix.json",
+                             bench::formatMatrixJson(Keys, Cold, Scale)))
     ++Failures;
 
   if (!CacheDir.empty()) {
     // Warm pass: every cold cell has destructed — and saved its cache
     // file — so this second batch boots entirely from the directory. The
-    // warm-boot contract is checked per engine cell: identical console,
-    // identical final architectural state, and zero translations (every
-    // block comes from the file, counted in loaded_tbs).
+    // warm-boot contract is checked per engine cell: an identical
+    // guest-visible outcome, and zero translations (every block comes
+    // from the file, counted in loaded_tbs).
     std::printf("\nwarm pass against %s:\n\n", CacheDir.c_str());
     const std::vector<vm::RunReport> Warm =
         runBatch(Cells, Boards, Scale, Jobs, CacheDir, TraceDir, "-warm",
@@ -303,14 +279,10 @@ int runMatrix(unsigned Jobs, uint32_t Scale, bool Json,
                   static_cast<unsigned long long>(W.Engine.Translations),
                   static_cast<unsigned long long>(W.Cache.LoadedTbs),
                   static_cast<unsigned long long>(W.Cache.CacheFileHits));
-      if (W.Console != C.Console) {
-        std::fprintf(stderr, "FAIL: %s warm console differs from cold\n",
-                     Cells[I].Key.c_str());
-        ++Failures;
-      }
-      if (std::memcmp(&W.Final, &C.Final, sizeof(C.Final)) != 0) {
-        std::fprintf(stderr, "FAIL: %s warm final architectural state "
-                             "differs from cold\n", Cells[I].Key.c_str());
+      const std::string Diff = vm::outcomeDiff(C, W, vm::Guest);
+      if (!Diff.empty()) {
+        std::fprintf(stderr, "FAIL: %s warm run differs from cold (%s)\n",
+                     Cells[I].Key.c_str(), Diff.c_str());
         ++Failures;
       }
       if (W.Cache.CacheFileHits != 1) {
@@ -330,11 +302,12 @@ int runMatrix(unsigned Jobs, uint32_t Scale, bool Json,
     }
 
     if (Json &&
-        !writeMatrixFile(bench::formatMatrixJson(toMatrixCells(Cells, Warm),
-                                                 Scale),
-                         "BENCH_matrix_warm.json"))
+        !bench::writeBenchFile("BENCH_matrix_warm.json",
+                               bench::formatMatrixJson(Keys, Warm, Scale)))
       ++Failures;
   }
+
+  bench::printFigures(Keys, Cold, Scale);
 
   if (Failures) {
     std::fprintf(stderr, "\n%d matrix cell(s) failed\n", Failures);
@@ -544,8 +517,7 @@ int main(int argc, char **argv) {
     }
     const vm::RunReport R = V.run();
     if (Json)
-      bench::JsonRecorder::get().Runs.push_back(
-          {Workload, R.Label, bench::fromReport(R, Info->UsesEngine)});
+      bench::JsonRecorder::get().Runs.push_back({Workload, R.Label, R});
     printRow(R);
     if (!R.Ok) {
       std::fprintf(stderr, "FAIL: %s stopped with '%s'%s%s\n", R.Spec.c_str(),

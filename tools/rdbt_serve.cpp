@@ -61,6 +61,7 @@
 
 #include "bench/BenchCommon.h"
 #include "vm/BatchRunner.h"
+#include "vm/ReportFields.h"
 #include "vm/Snapshot.h"
 #include "vm/Vm.h"
 
@@ -70,7 +71,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -119,46 +119,6 @@ Drain summarize(const std::vector<vm::RunReport> &Reports, uint64_t WallNs) {
   return D;
 }
 
-/// Bitwise forked-vs-fresh comparison: exact counters, final
-/// architectural state, console, engine stats, and the cache counters —
-/// minus the two fork-provenance diagnostics (AdoptedTbs counts blocks
-/// inherited from the snapshot, CowBlockCopies the chain patches that
-/// privatized one; both are 0 in a fresh run by construction).
-bool identicalToFresh(const vm::RunReport &F, const vm::RunReport &R,
-                      std::string *Why) {
-  const auto Fail = [&](const char *What) {
-    if (Why)
-      *Why = What;
-    return false;
-  };
-  if (std::memcmp(&F.Counters, &R.Counters, sizeof(F.Counters)) != 0)
-    return Fail("exec counters");
-  // Field-wise (not memcmp): FinalArchState has tail padding.
-  for (int I = 0; I < 16; ++I)
-    if (F.Final.Regs[I] != R.Final.Regs[I])
-      return Fail("final registers");
-  if (F.Final.Nzcv != R.Final.Nzcv ||
-      F.Final.ShutdownRequested != R.Final.ShutdownRequested)
-    return Fail("final architectural state");
-  if (F.Console != R.Console)
-    return Fail("console output");
-  if (std::memcmp(&F.Engine, &R.Engine, sizeof(F.Engine)) != 0)
-    return Fail("engine stats");
-  dbt::CacheStats A = F.Cache, B = R.Cache;
-  A.AdoptedTbs = B.AdoptedTbs = 0;
-  A.CowBlockCopies = B.CowBlockCopies = 0;
-  if (std::memcmp(&A, &B, sizeof(A)) != 0)
-    return Fail("cache stats");
-  if (F.RuleCoveredInstrs != R.RuleCoveredInstrs ||
-      F.FallbackInstrs != R.FallbackInstrs ||
-      F.RuleMatchAttempts != R.RuleMatchAttempts ||
-      F.RuleMatchHits != R.RuleMatchHits)
-    return Fail("rule-translator counters");
-  if (F.Ok != R.Ok || F.Stop != R.Stop)
-    return Fail("stop reason");
-  return true;
-}
-
 struct SpecServe {
   std::string Spec;
   uint64_t MasterPrepNs = 0;   ///< master construct + boot + warm time
@@ -174,7 +134,7 @@ struct SpecServe {
   Drain Forked, Fresh;
   double Speedup = 0;
   bool Verified = false;
-  bench::RunStats Session; ///< one forked session's counters + timing
+  vm::RunReport Session; ///< one forked session's counters + timing
 };
 
 /// The fresh-boot control drain: each session pays everything a
@@ -304,9 +264,7 @@ bool serveSpec(const std::string &Spec, unsigned Sessions, unsigned Jobs,
     NewXl += static_cast<double>(R.Engine.Translations -
                                  PrepR.Engine.Translations);
   Out.NewTranslationsPerSession = Sessions ? NewXl / Sessions : 0;
-  const auto *Info = vm::TranslatorRegistry::global().find(Cfg.translator());
-  Out.Session =
-      bench::fromReport(Forked.front(), Info && Info->UsesEngine);
+  Out.Session = Forked.front();
 
   if (!RunFresh) {
     Out.Verified = false;
@@ -325,15 +283,18 @@ bool serveSpec(const std::string &Spec, unsigned Sessions, unsigned Jobs,
     Out.Speedup = static_cast<double>(Out.Fresh.WallNs) /
                   static_cast<double>(Out.Forked.WallNs);
 
-  // Bitwise verification: every forked session against its fresh twin.
-  std::string Why;
-  for (size_t I = 0; I < Forked.size(); ++I)
-    if (!identicalToFresh(Forked[I], Fresh[I], &Why)) {
+  // Bitwise verification: every forked session against its fresh twin,
+  // on every field a deterministic replay must reproduce (fork
+  // provenance and host timing aside; vm/ReportFields.h).
+  for (size_t I = 0; I < Forked.size(); ++I) {
+    const std::string Diff = vm::outcomeDiff(Forked[I], Fresh[I]);
+    if (!Diff.empty()) {
       std::fprintf(stderr,
                    "%s: forked session %zu diverged from its fresh twin "
-                   "(%s)\n", Spec.c_str(), I, Why.c_str());
+                   "(%s)\n", Spec.c_str(), I, Diff.c_str());
       return false;
     }
+  }
   Out.Verified = true;
   return true;
 }
@@ -369,22 +330,14 @@ void printServe(const SpecServe &S, unsigned Sessions) {
 
 bool writeServeJson(const std::vector<SpecServe> &Serves, unsigned Sessions,
                     unsigned Jobs, uint64_t ItemCycles, unsigned WarmItems) {
-  const char *Env = std::getenv("RDBT_BENCH_JSON");
-  const std::string Dir =
-      (!Env || *Env == '\0' || std::string(Env) == "1") ? "." : Env;
-  const std::string Path = Dir + "/BENCH_serve.json";
-  std::ofstream OS(Path);
-  if (!OS) {
-    std::fprintf(stderr, "cannot write %s\n", Path.c_str());
-    return false;
-  }
+  std::ostringstream OS;
   OS << "{\n  \"bench\": \"serve\",\n  \"sessions\": " << Sessions
      << ",\n  \"jobs\": " << Jobs << ",\n  \"item_cycles\": " << ItemCycles
      << ",\n  \"warm_items\": " << WarmItems << ",\n  \"specs\": [";
   for (size_t I = 0; I < Serves.size(); ++I) {
     const SpecServe &S = Serves[I];
     OS << (I ? ",\n" : "\n") << "    {\"spec\": \""
-       << bench::jsonEscape(S.Spec) << "\", \"master_prep_ns\": "
+       << vm::jsonEscape(S.Spec) << "\", \"master_prep_ns\": "
        << S.MasterPrepNs << ", \"adopted_tbs\": " << S.AdoptedTbs
        << ", \"new_translations_per_session\": "
        << S.NewTranslationsPerSession
@@ -406,13 +359,11 @@ bool writeServeJson(const std::vector<SpecServe> &Serves, unsigned Sessions,
        << ", \"p99_ns\": " << S.Fresh.P99Ns << ", \"latency_hist\": ";
     bench::writeHistogramJson(OS, S.Fresh.LatencyHist);
     OS << "}"
-       << ",\n     \"session\": {";
-    bench::writeRunStatsFields(OS, S.Session, /*WithTiming=*/true);
-    OS << "}}";
+       << ",\n     \"session\": {"
+       << vm::reportJsonFields(S.Session, /*WithTiming=*/true) << "}}";
   }
   OS << "\n  ]\n}\n";
-  std::printf("\nwrote %s\n", Path.c_str());
-  return true;
+  return bench::writeBenchFile("BENCH_serve.json", OS.str());
 }
 
 } // namespace
